@@ -121,7 +121,7 @@ func TestKeyOps(t *testing.T) {
 	want := map[string]bool{
 		"put": true, "writebatch": true, "fullscan": true, "query": true,
 		"scan-pushdown": true, "scan-clientfilter": true, "hotrange": true,
-		"scan-clustered": true, "scan-index": true, "autocompact": true,
+		"scan-clustered": true, "scan-index": true, "scan-clustered-limit": true, "autocompact": true,
 		"cdc-catchup": true, "cdc-tail": true, "cdc-writes-base": true,
 	}
 	for _, op := range ops {

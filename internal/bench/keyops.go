@@ -196,6 +196,11 @@ func KeyOps(s Scale) ([]KeyOp, error) {
 		return nil, err
 	}
 	out = append(out, clusterOps...)
+	limOp, err := ScanClusteredLimitKeyOp(s)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, limOp)
 	acOps, _, err := AutoCompactKeyOps(s)
 	if err != nil {
 		return nil, err

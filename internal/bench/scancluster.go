@@ -22,8 +22,10 @@ package bench
 // clustered read path would disengage under sustained load.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"time"
 
@@ -165,6 +167,70 @@ func ScanClusteredKeyOps(s Scale) ([]KeyOp, error) {
 			cl.DiskUSPerOp, idx.DiskUSPerOp)
 	}
 	return []KeyOp{cl, idx}, nil
+}
+
+// clusterLimitScans is how many limited scans scan-clustered-limit
+// issues; clusterScanLimit is each scan's row limit.
+const (
+	clusterLimitScans = 100
+	clusterScanLimit  = 100
+)
+
+// ScanClusteredLimitKeyOp measures scan-clustered-limit: Limit-100
+// clustered scans from random start keys on the same fully compacted
+// table the scan-clustered pair uses, one op per scan. A limited scan
+// must pay for the rows it returns — a short first read per segment
+// stream and a merge that stops at the limit — not for a full
+// read-ahead chunk per stream. Every scan is checked to return exactly
+// the next min(limit, rows left) keys.
+func ScanClusteredLimitKeyOp(s Scale) (KeyOp, error) {
+	const name = "scan-clustered-limit"
+	srv, clock, dir, n, err := clusteredFixture("scanlim", s.Rows, s.ValueSize, false)
+	if dir != "" {
+		defer os.RemoveAll(dir)
+	}
+	if err != nil {
+		return KeyOp{}, err
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(19))
+	before := srv.Stats().LogReads.Load()
+	clock.Reset()
+	am := startAllocMeter()
+	start := time.Now()
+	for i := 0; i < clusterLimitScans; i++ {
+		first := rng.Intn(n)
+		next := first
+		err := srv.ParallelScan(ctx, benchTabletID, benchGroup,
+			core.ScanOptions{Start: key(first), TS: int64(n), Limit: clusterScanLimit},
+			func(rs []core.Row) error {
+				for _, r := range rs {
+					if !bytes.Equal(r.Key, key(next)) {
+						return fmt.Errorf("%s: scan from %d returned %q, want %q", name, first, r.Key, key(next))
+					}
+					next++
+				}
+				return nil
+			})
+		if err != nil {
+			return KeyOp{}, err
+		}
+		if want := min(first+clusterScanLimit, n); next != want {
+			return KeyOp{}, fmt.Errorf("%s: scan from %d returned %d rows, want %d", name, first, next-first, want-first)
+		}
+	}
+	wall := time.Since(start)
+	allocs, allocBytes := am.perOp(clusterLimitScans)
+	return KeyOp{
+		Name:        name,
+		Ops:         clusterLimitScans,
+		DiskUSPerOp: float64(clock.Elapsed()) / float64(time.Microsecond) / clusterLimitScans,
+		WallUSPerOp: float64(wall) / float64(time.Microsecond) / clusterLimitScans,
+		RowsShipped: srv.Stats().LogReads.Load() - before,
+		AllocsPerOp: allocs,
+		BytesPerOp:  allocBytes,
+	}, nil
 }
 
 // AutoCompactKeyOps runs the sustained write+scan churn with only the

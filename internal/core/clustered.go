@@ -18,6 +18,19 @@ package core
 // segments — the steady state after incremental compaction, where
 // sorted segments overlap. The scan-clustered/scan-index benchgate
 // pair holds the gap at >= 2x.
+//
+// Limited and bounded scans pay for what they return. A bounded range
+// stops each stream at the first footer sample past its end
+// (SegmentMeta.EndOffset). A limit with no residual value filter caps
+// the merge buffer and the overlay page at the rows still owed, and
+// sizes each stream's first refill at one sparse-index stride plus
+// Limit average records. So a Limit-100 scan over 1 KB rows costs one
+// seek and ~170 KB of transfer per segment, not a 2 MB chunk. Unlimited
+// scans keep full chunks; the scan-clustered-limit gate op holds the
+// limited cost. Rows whose visible version must be fetched are
+// overwhelmingly overlay rows: recent puts that Write put in the read
+// buffer. They are served from the buffer when it holds exactly that
+// version, so a limited scan's seeks are the segment opens.
 
 import (
 	"bytes"
@@ -185,6 +198,14 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 			ss.sc.Close()
 		}
 	}()
+	// A limit with no residual filter caps the merge at the rows still
+	// owed (see the flush below), so it also sizes each stream's first
+	// read; other scans keep full read-ahead chunks.
+	capped := opt.Limit > 0 && !opt.residual()
+	want := 0
+	if capped {
+		want = opt.Limit
+	}
 	target := wal.RecordKey{Table: t.table, Group: group, Key: start}
 	for _, num := range nums {
 		meta := s.log.SegmentMeta(num)
@@ -195,6 +216,11 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 		if err != nil {
 			return true, err
 		}
+		var to int64
+		if end != nil {
+			to = meta.EndOffset(wal.RecordKey{Table: t.table, Group: group, Key: end})
+		}
+		sc.Bound(to, want)
 		sortedSet[num] = true
 		ss := &segStream{sc: sc, table: t.table, group: group, end: end}
 		// Register before the first advance so the deferred closer
@@ -218,7 +244,11 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 	if batch <= 0 {
 		batch = defaultScanBatch
 	}
-	overlay := &overlayCursor{g: g, set: sortedSet, ts: opt.TS, end: end, page: batch, cursor: start}
+	page := batch
+	if capped && opt.Limit < page {
+		page = opt.Limit
+	}
+	overlay := &overlayCursor{g: g, set: sortedSet, ts: opt.TS, end: end, page: page, cursor: start}
 	var overlayServed, rejects int64
 	defer func() {
 		sp.LabelInt("overlay_rows", overlayServed)
@@ -251,6 +281,23 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 				fetchPtrs = append(fetchPtrs, buf[i].ptr)
 			}
 		}
+		// Rows fetched from the log are overwhelmingly overlay rows:
+		// recent puts in the unsorted tail, which the write path has just
+		// put in the read buffer. Serve those from it and read only the
+		// rest.
+		kept := 0
+		for j, i := range fetchIdx {
+			if v, ok := s.cachedValue(t.table, group, buf[i].row.Key, buf[i].row.TS); ok {
+				buf[i].row.Value = v
+				continue
+			}
+			fetchIdx[kept], fetchPtrs[kept] = i, fetchPtrs[j]
+			kept++
+		}
+		if hits := len(fetchIdx) - kept; hits > 0 {
+			s.stats.CacheHits.Add(int64(hits))
+		}
+		fetchIdx, fetchPtrs = fetchIdx[:kept], fetchPtrs[:kept]
 		vanished := map[int]bool{}
 		if len(fetchPtrs) > 0 {
 			recs, err := s.log.ReadBatch(fetchPtrs)
@@ -386,7 +433,9 @@ func (s *Server) clusteredScan(ctx context.Context, t *Tablet, g *columnGroup, g
 			p.ptr, p.fetch = e.Ptr, true
 		}
 		buf = append(buf, p)
-		if len(buf) >= batch {
+		// A capped scan flushes as soon as it holds the rows still owed,
+		// so it never buffers (or fetches) rows past its limit.
+		if len(buf) >= batch || (capped && len(buf) >= remaining) {
 			if err := flush(); err != nil {
 				return true, err
 			}

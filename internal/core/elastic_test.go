@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"repro/internal/fault"
 	"repro/internal/partition"
 	"repro/internal/wal"
 )
@@ -259,5 +261,62 @@ func TestFreezeBlocks2PC(t *testing.T) {
 	}
 	if _, err := s.Get(testTablet, testGroup, []byte("k")); err != nil {
 		t.Fatalf("committed write missing: %v", err)
+	}
+}
+
+// TestApplyReplicatedHoldsTabletAcrossSplit is the regression test for
+// a replica dying with "tablet not served here" on a split: a shipped
+// record resolved to the parent tablet must land even when the mirror
+// split runs between resolution and apply. The crash.repl.pre-apply
+// point opens that window and starts the split inside it; the split
+// must wait for the apply (before the fix it retired the parent first
+// and the apply failed).
+func TestApplyReplicatedHoldsTabletAcrossSplit(t *testing.T) {
+	reg := fault.New(1)
+	s, _ := newTestServer(t, Config{Faults: reg})
+	spec := elasticTablet()
+	s.RemoveTablet(testTablet)
+	s.AddTablet(spec, []string{testGroup})
+	for i := 0; i < 100; i++ {
+		if err := s.Write(spec.ID, testGroup, ek(i), int64(i+1), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid, ok := s.SplitKey(spec.ID)
+	if !ok {
+		t.Fatal("SplitKey found no midpoint")
+	}
+	lr, rr, err := spec.Range.Split(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left := partition.Tablet{ID: "users/0001", Table: "users", Range: lr}
+	right := partition.Tablet{ID: "users/0002", Table: "users", Range: rr}
+
+	splitDone := make(chan error, 1)
+	reg.Arm("crash.repl.pre-apply", fault.Policy{Times: 1, OnFire: func() {
+		go func() { splitDone <- s.SplitTablet(spec.ID, left, right) }()
+		// Give the split every chance to finish inside the window; it
+		// must block until this apply completes instead.
+		select {
+		case err := <-splitDone:
+			splitDone <- err
+		case <-time.After(200 * time.Millisecond):
+		}
+	}})
+	key := ek(150) // sorts after mid: belongs to the right child
+	applied, err := s.ApplyReplicated(&wal.Record{
+		Kind: wal.KindWrite, Table: "users", Tablet: spec.ID,
+		Group: testGroup, Key: key, TS: 500, Value: []byte("shipped"),
+	})
+	if err != nil || !applied {
+		t.Fatalf("ApplyReplicated across a split = %v, %v; want applied", applied, err)
+	}
+	if err := <-splitDone; err != nil {
+		t.Fatalf("SplitTablet: %v", err)
+	}
+	row, err := s.Get(right.ID, testGroup, key)
+	if err != nil || string(row.Value) != "shipped" {
+		t.Fatalf("right child Get = %q, %v; want the shipped row", row.Value, err)
 	}
 }

@@ -56,10 +56,13 @@ type ScanOptions struct {
 	// never reach the wire.
 	ValuePred *readopt.Predicate
 	// Limit caps the rows emitted (after all filtering); 0 = no limit.
-	// Once the limit is reached the scan stops issuing log reads: with
-	// no residual value predicate, index pages are capped at the rows
-	// still owed, so a limited scan over a huge range costs Limit log
-	// reads, not a range's worth.
+	// Once the limit is reached the scan stops issuing log reads. With
+	// no residual value predicate the scan is capped at the rows still
+	// owed: on the index path each index page, so a limited scan over a
+	// huge range costs Limit log reads, not a range's worth; on the
+	// clustered path the merge buffer and overlay page, with each
+	// segment stream's first read sized for Limit records instead of a
+	// full read-ahead chunk.
 	Limit int
 	// Reverse emits rows in descending key order via the index's
 	// descending traversal. Reverse scans are serial (Workers is
@@ -71,12 +74,24 @@ type ScanOptions struct {
 	Workers int
 	// Batch is the fetch/emit granularity in rows (0 = 256).
 	Batch int
-	// UseCache lets the scan consult the point-read buffer before the
-	// log. Off by default: the buffer is guarded by one mutex (a scan
-	// would serialise on it and evict the OLTP working set's recency),
-	// and batched log reads are already sequential — scans are
-	// cache-resistant unless the caller knows its range is hot.
+	// UseCache lets the index path consult the point-read buffer before
+	// the log. Off by default: the buffer is guarded by one mutex (a
+	// scan would serialise on it and evict the OLTP working set's
+	// recency), and batched log reads are already sequential — scans
+	// are cache-resistant unless the caller knows its range is hot. The
+	// clustered path ignores it: its rows come from sorted segments,
+	// and the few it must fetch (overlay rows, the unsorted tail's
+	// recent puts) always probe the buffer first, since a hit there
+	// saves a seek.
 	UseCache bool
+}
+
+// residual reports whether a post-fetch predicate is in play. Such
+// predicates make the per-page survivor count unpredictable, so only
+// their absence lets a limit cap a scan's page (index path) or merge
+// buffer (clustered path) at the rows still owed.
+func (opt *ScanOptions) residual() bool {
+	return opt.RowFilter != nil || opt.ValuePred != nil
 }
 
 // ReadScanOptions compiles the wire-level push-down options into engine
@@ -224,9 +239,7 @@ func (s *Server) scanShard(ctx context.Context, t *Tablet, g *columnGroup, group
 		return err
 	}
 	remaining := opt.Limit // 0 = unlimited
-	// Post-fetch predicates make the per-page survivor count
-	// unpredictable, so only their absence lets the limit cap the page.
-	residual := opt.RowFilter != nil || opt.ValuePred != nil
+	residual := opt.residual()
 	flush := func(chunk []index.Entry) (int, error) {
 		if len(chunk) == 0 {
 			return 0, nil
@@ -360,12 +373,10 @@ func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group
 	var cacheHits int64
 	for i, e := range entries {
 		if useCache {
-			if b, ok := s.readCache.Get(cacheKey(t.table, group, e.Key)); ok {
-				if cts, v := decodeCached(b); cts == e.TS {
-					rows[i] = Row{Key: e.Key, TS: cts, Value: append([]byte(nil), v...)}
-					cacheHits++
-					continue
-				}
+			if v, ok := s.cachedValue(t.table, group, e.Key, e.TS); ok {
+				rows[i] = Row{Key: e.Key, TS: e.TS, Value: v}
+				cacheHits++
+				continue
 			}
 		}
 		missIdx = append(missIdx, i)
@@ -417,6 +428,21 @@ func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group
 		rows = kept
 	}
 	return rows, nil
+}
+
+// cachedValue serves version ts of key from the read buffer. The
+// buffer holds only a key's newest version, so it answers exactly when
+// that version is ts; the value is copied out.
+func (s *Server) cachedValue(table, group string, key []byte, ts int64) ([]byte, bool) {
+	b, ok := s.readCache.Get(cacheKey(table, group, key))
+	if !ok {
+		return nil, false
+	}
+	cts, v := decodeCached(b)
+	if cts != ts {
+		return nil, false
+	}
+	return append([]byte(nil), v...), true
 }
 
 // SplitRange exposes the index's keyspace sharding for a column group:

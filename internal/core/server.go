@@ -341,15 +341,33 @@ func (s *Server) resolveTablet(table, tabletID string, key []byte) (*Tablet, boo
 // reproduces the primary's version history. Returns false (and no
 // error) when no served tablet covers the record: the tablet migrated
 // off the replica's primary, and its new owner's replica carries it.
+//
+// Resolution and apply happen under one shared installMu hold: a split
+// (which takes installMu exclusively) mirrored onto the replica while
+// records are in flight cannot retire the resolved tablet before the
+// record lands in it.
 func (s *Server) ApplyReplicated(rec *wal.Record) (bool, error) {
+	op := s.obs.put
+	if rec.Kind == wal.KindDelete {
+		op = s.obs.del
+	}
+	defer s.obs.since(op, s.obs.start())
+	s.installMu.RLock()
+	defer s.installMu.RUnlock()
 	t, ok := s.resolveTablet(rec.Table, rec.Tablet, rec.Key)
 	if !ok {
 		return false, nil
 	}
-	if rec.Kind == wal.KindDelete {
-		return true, s.Delete(t.id, rec.Group, rec.Key, rec.TS)
+	// Crash point: the shipped record is resolved but not applied; a
+	// restarted replica resumes from its durable cursor and re-applies
+	// it.
+	if err := s.cfg.Faults.FireErr("crash.repl.pre-apply"); err != nil {
+		return false, err
 	}
-	return true, s.Write(t.id, rec.Group, rec.Key, rec.TS, rec.Value)
+	if rec.Kind == wal.KindDelete {
+		return true, s.deleteIn(t, rec.Group, rec.Key, rec.TS)
+	}
+	return true, s.writeIn(t, rec.Group, rec.Key, rec.TS, rec.Value)
 }
 
 // boundedRange reports whether a range has at least one bound. The
@@ -435,8 +453,14 @@ func (s *Server) Write(tabletID, group string, key []byte, ts int64, value []byt
 	if err != nil {
 		return err
 	}
+	return s.writeIn(t, group, key, ts, value)
+}
+
+// writeIn is Write on a resolved tablet; the caller holds installMu
+// shared.
+func (s *Server) writeIn(t *Tablet, group string, key []byte, ts int64, value []byte) error {
 	if t.frozen.Load() {
-		return fmt.Errorf("%w: %s", ErrTabletFrozen, tabletID)
+		return fmt.Errorf("%w: %s", ErrTabletFrozen, t.id)
 	}
 	g, err := t.group(group)
 	if err != nil {
@@ -459,7 +483,7 @@ func (s *Server) Write(tabletID, group string, key []byte, ts int64, value []byt
 	g.tree().Put(index.Entry{Key: key, TS: ts, Ptr: ptrs[0], LSN: rec.LSN})
 	s.noteSuperseded(t.table, g, key)
 	s.readCache.Put(cacheKey(t.table, group, key), encodeCached(ts, value))
-	s.maintainSecondary(tabletID, group, key, ts, ptrs[0], rec.LSN, value, false)
+	s.maintainSecondary(t.id, group, key, ts, ptrs[0], rec.LSN, value, false)
 	s.noteTS(ts)
 	s.stats.Writes.Add(1)
 	t.load.add(1, int64(len(value)))
@@ -584,8 +608,14 @@ func (s *Server) Delete(tabletID, group string, key []byte, ts int64) error {
 	if err != nil {
 		return err
 	}
+	return s.deleteIn(t, group, key, ts)
+}
+
+// deleteIn is Delete on a resolved tablet; the caller holds installMu
+// shared.
+func (s *Server) deleteIn(t *Tablet, group string, key []byte, ts int64) error {
 	if t.frozen.Load() {
-		return fmt.Errorf("%w: %s", ErrTabletFrozen, tabletID)
+		return fmt.Errorf("%w: %s", ErrTabletFrozen, t.id)
 	}
 	g, err := t.group(group)
 	if err != nil {
@@ -605,7 +635,7 @@ func (s *Server) Delete(tabletID, group string, key []byte, ts int64) error {
 	s.noteDeleted(g, key)
 	g.tree().DeleteKey(key)
 	s.readCache.Invalidate(cacheKey(t.table, group, key))
-	s.maintainSecondary(tabletID, group, key, ts, wal.Ptr{}, rec.LSN, nil, true)
+	s.maintainSecondary(t.id, group, key, ts, wal.Ptr{}, rec.LSN, nil, true)
 	s.noteTS(ts)
 	s.stats.Deletes.Add(1)
 	t.load.add(1, 0)

@@ -18,6 +18,11 @@ type DataNode struct {
 	faults *fault.Registry
 	alive  atomic.Bool
 
+	// readPoint and writePoint are the replica-level fault point names
+	// ("dfs.dn<id>.read|write"), built once at creation so a disarmed
+	// point costs one atomic load and no allocation per block I/O.
+	readPoint, writePoint string
+
 	mu    sync.Mutex
 	files map[blockID]*simdisk.File
 }
@@ -32,6 +37,16 @@ func (n *DataNode) setAlive(v bool) {
 		n.files = nil
 		n.mu.Unlock()
 	}
+}
+
+func newDataNode(id, rack int, disk *simdisk.Disk, faults *fault.Registry) *DataNode {
+	n := &DataNode{
+		id: id, rack: rack, disk: disk, faults: faults,
+		readPoint:  fmt.Sprintf("dfs.dn%d.read", id),
+		writePoint: fmt.Sprintf("dfs.dn%d.write", id),
+	}
+	n.alive.Store(true)
+	return n
 }
 
 // Alive reports whether the node is accepting I/O.
@@ -80,7 +95,7 @@ func (n *DataNode) writeBlock(id blockID, off int64, p []byte) error {
 	// The replica-level fault point: killing this node via OnFire, a
 	// torn fragment (Partial), a persistent bit flip (FlipBit), or a
 	// plain write error on this one replica while the others succeed.
-	if o := n.faults.Fire(fmt.Sprintf("dfs.dn%d.write", n.id)); o.Injected() {
+	if o := n.faults.Fire(n.writePoint); o.Injected() {
 		if o.Delay > 0 {
 			n.disk.Clock().Advance(o.Delay)
 		}
@@ -123,39 +138,51 @@ func (n *DataNode) writeBlockBytes(id blockID, off int64, p []byte) error {
 	return err
 }
 
+// readBlock reads length bytes of block id at off into a new buffer.
 func (n *DataNode) readBlock(id blockID, off int64, length int) ([]byte, error) {
-	if o := n.faults.Fire(fmt.Sprintf("dfs.dn%d.read", n.id)); o.Injected() {
+	buf := make([]byte, length)
+	m, err := n.readBlockInto(id, off, buf)
+	if err != nil {
+		return nil, err
+	}
+	return buf[:m], nil
+}
+
+// readBlockInto reads len(dst) bytes of block id at off straight into
+// dst and returns how many it read. A short read is an error, so the
+// caller can fail over to the next replica (which overwrites dst).
+func (n *DataNode) readBlockInto(id blockID, off int64, dst []byte) (int, error) {
+	if o := n.faults.Fire(n.readPoint); o.Injected() {
 		if o.Delay > 0 {
 			n.disk.Clock().Advance(o.Delay)
 		}
 		if o.Err != nil {
-			return nil, o.Err
+			return 0, o.Err
 		}
 		if o.FlipBit {
-			buf, err := n.readBlockBytes(id, off, length)
-			if err == nil && len(buf) > 0 {
-				fault.Corrupt(buf, o.Token)
+			m, err := n.readBlockBytes(id, off, dst)
+			if err == nil && m > 0 {
+				fault.Corrupt(dst[:m], o.Token)
 			}
-			return buf, err
+			return m, err
 		}
 	}
-	return n.readBlockBytes(id, off, length)
+	return n.readBlockBytes(id, off, dst)
 }
 
-func (n *DataNode) readBlockBytes(id blockID, off int64, length int) ([]byte, error) {
+func (n *DataNode) readBlockBytes(id blockID, off int64, dst []byte) (int, error) {
 	if !n.Alive() {
-		return nil, errDeadNode
+		return 0, errDeadNode
 	}
 	f, err := n.blockFile(id, false)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	buf := make([]byte, length)
-	m, err := f.ReadAt(buf, off)
-	if err != nil && m < length {
-		return nil, err
+	m, err := f.ReadAt(dst, off)
+	if err != nil && m < len(dst) {
+		return 0, err
 	}
-	return buf[:m], nil
+	return m, nil
 }
 
 func (n *DataNode) truncateBlock(id blockID, size int64) error {

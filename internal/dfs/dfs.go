@@ -130,9 +130,7 @@ func New(dir string, cfg Config) (*DFS, error) {
 			return nil, err
 		}
 		disk.SetFaults(cfg.Faults, fmt.Sprintf("disk.dn%d", i))
-		dn := &DataNode{id: i, rack: i % cfg.Racks, disk: disk, faults: cfg.Faults}
-		dn.alive.Store(true)
-		d.nodes = append(d.nodes, dn)
+		d.nodes = append(d.nodes, newDataNode(i, i%cfg.Racks, disk, cfg.Faults))
 	}
 	return d, nil
 }
@@ -543,13 +541,26 @@ func (d *DFS) appendAt(path string, p []byte) (int64, error) {
 }
 
 // readAt reads into p starting at off, returning the number of bytes
-// read. Short reads at end-of-file return io.EOF. Block metadata is
-// value-snapshotted under the namenode lock: appendAt mutates each
-// block's size and replica set in place, and a reader racing a
-// concurrent append must see a consistent point-in-time view (reads
-// target committed offsets, so acting on the snapshot is safe even as
-// the file keeps growing).
+// read. Short reads at end-of-file return io.EOF. The metadata of the
+// blocks [off, off+len(p)) touches is value-snapshotted under the
+// namenode lock: appendAt mutates each block's size and replica set in
+// place, and a reader racing a concurrent append must see a consistent
+// point-in-time view (reads target committed offsets, so acting on the
+// snapshot is safe even as the file keeps growing). Replica reads land
+// directly in p; a failed replica's partial bytes are overwritten by
+// the next replica's read of the same range.
 func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
+	type blockSnap struct {
+		id   blockID
+		size int64
+		reps [2]int // replicas[reps[0]:reps[1]]
+	}
+	var (
+		blockStack [4]blockSnap
+		repStack   [12]int
+	)
+	blocks, replicas := blockStack[:0], repStack[:0]
+
 	d.mu.Lock()
 	fm, ok := d.files[path]
 	if !ok {
@@ -557,16 +568,20 @@ func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	size := fm.size()
-	type blockSnap struct {
-		id       blockID
-		size     int64
-		replicas []int
-	}
-	blocks := make([]blockSnap, len(fm.blocks))
-	for i, b := range fm.blocks {
-		blocks[i] = blockSnap{id: b.id, size: b.size, replicas: append([]int(nil), b.replicas...)}
-	}
 	blockSize := d.cfg.BlockSize
+	first := off / blockSize
+	if off < size && len(p) > 0 {
+		last := off + int64(len(p)) - 1
+		if last >= size {
+			last = size - 1
+		}
+		for bi := first; bi <= last/blockSize && bi < int64(len(fm.blocks)); bi++ {
+			b := fm.blocks[bi]
+			lo := len(replicas)
+			replicas = append(replicas, b.replicas...)
+			blocks = append(blocks, blockSnap{id: b.id, size: b.size, reps: [2]int{lo, len(replicas)}})
+		}
+	}
 	d.mu.Unlock()
 
 	if off >= size {
@@ -574,8 +589,8 @@ func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
 	}
 	total := 0
 	for total < len(p) && off < size {
-		bi := int(off / blockSize)
-		if bi >= len(blocks) {
+		bi := off/blockSize - first
+		if bi >= int64(len(blocks)) {
 			break
 		}
 		b := blocks[bi]
@@ -587,17 +602,18 @@ func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
 		if n <= 0 {
 			break
 		}
+		dst := p[total : total+int(n)]
 		var (
-			data []byte
-			err  error
+			m   int
+			err error
 		)
 		read := false
-		for _, nid := range b.replicas {
+		for _, nid := range replicas[b.reps[0]:b.reps[1]] {
 			node := d.nodes[nid]
 			if !node.Alive() {
 				continue
 			}
-			data, err = node.readBlock(b.id, blockOff, int(n))
+			m, err = node.readBlockInto(b.id, blockOff, dst)
 			if err == nil {
 				read = true
 				break
@@ -609,9 +625,8 @@ func (d *DFS) readAt(path string, p []byte, off int64) (int, error) {
 			}
 			return total, fmt.Errorf("dfs: read block %d: %w", b.id, err)
 		}
-		copy(p[total:], data)
-		total += len(data)
-		off += int64(len(data))
+		total += m
+		off += int64(m)
 	}
 	if total < len(p) {
 		return total, io.EOF

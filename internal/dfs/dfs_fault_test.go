@@ -301,3 +301,56 @@ func TestCorruptAndRepairBlockReplica(t *testing.T) {
 		t.Fatal("ReadBlockReplica accepted bogus node")
 	}
 }
+
+// TestDisarmedFaultPointsDoNotAllocate backs the package doc's "a
+// disarmed point costs one atomic load" claim on the hottest points:
+// with a registry wired in but nothing armed, a replica block read or
+// write (dfs.dn<i>.* and disk.dn<i>.*) allocates nothing, and a DFS
+// read lands in the caller's buffer without copying block metadata to
+// the heap.
+func TestDisarmedFaultPointsDoNotAllocate(t *testing.T) {
+	reg := fault.New(1)
+	fs := newFaultDFS(t, 3, reg)
+	w, err := fs.Create("f")
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	data := bytes.Repeat([]byte("0123456789abcdef"), 1<<17) // two 1 MB blocks
+	if _, err := w.Write(data); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	fs.mu.Lock()
+	b0 := fs.files["f"].blocks[0]
+	node, id := fs.DataNode(b0.replicas[0]), b0.id
+	fs.mu.Unlock()
+	buf := make([]byte, 4096)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := node.readBlockInto(id, 512, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("disarmed replica read: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := node.writeBlock(id, 512, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("disarmed replica write: %v allocs/op, want 0", n)
+	}
+	r, err := fs.Open("f")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	span := make([]byte, 64<<10)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := r.ReadAt(span, 1<<20-(32<<10)); err != nil { // crosses the block boundary
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("disarmed DFS read: %v allocs/op, want 0", n)
+	}
+	if got := reg.Injected(); got != 0 {
+		t.Fatalf("disarmed registry injected %d faults", got)
+	}
+}

@@ -110,6 +110,11 @@ type Replica struct {
 	rebootstrap atomic.Int64 // truncation-forced fresh starts
 	lastCaught  atomic.Int64 // unix nanos of the last drained observation
 
+	// certTip is the source log tip the watermark was last certified
+	// through; syncFence the source tip when the last topology sync
+	// ended. The watermark is public only once certTip >= syncFence.
+	certTip, syncFence atomic.Uint64
+
 	resumeLSN uint64 // durable cursor loaded by New; 0 = fresh
 	recovered bool   // Start must Recover the reopened server first
 
@@ -243,8 +248,18 @@ func (r *Replica) SplitTablet(parentID string, left, right partition.Tablet) err
 // the peer replay lands.
 func (r *Replica) BeginTopologySync() { r.syncing.Add(1) }
 
-// EndTopologySync closes a BeginTopologySync bracket.
-func (r *Replica) EndTopologySync() { r.syncing.Add(-1) }
+// EndTopologySync closes a BeginTopologySync bracket. The watermark
+// stays 0 until the feed has drained through the primary's log tip as
+// of now: a topology change appends records carrying OLD commit
+// timestamps to the primary's log (a migration replays the tablet's
+// history there), which breaks the T-before-E argument behind any
+// watermark certified earlier. Until the feed applies them, a shipped
+// delete or older version can briefly shadow what the peer replay
+// installed here.
+func (r *Replica) EndTopologySync() {
+	r.syncFence.Store(r.sourceTip())
+	r.syncing.Add(-1)
+}
 
 // MarkForeign records that this replica now carries peer-recovered
 // history (an adopted or migrated-in tablet replayed from another
@@ -420,6 +435,11 @@ func (r *Replica) refreshWatermark(feed *core.RecordFeed) {
 			break
 		}
 	}
+	// Published after the watermark, read before it (WatermarkTS): a
+	// reader that sees this tip sees a watermark certified through it.
+	if e > r.certTip.Load() {
+		r.certTip.Store(e)
+	}
 	r.lastCaught.Store(time.Now().UnixNano())
 }
 
@@ -430,10 +450,11 @@ func (r *Replica) sourceTip() uint64 {
 
 // WatermarkTS is the snapshot-consistency frontier: reads pinned at
 // ts <= WatermarkTS served by this replica return exactly what the
-// primary would. 0 means not yet caught up (re-bootstrapping, or a
-// topology sync is installing peer history).
+// primary would. 0 means not yet caught up (re-bootstrapping, a
+// topology sync is installing peer history, or the records a finished
+// sync appended are still shipping).
 func (r *Replica) WatermarkTS() int64 {
-	if r.syncing.Load() > 0 {
+	if r.syncing.Load() > 0 || r.certTip.Load() < r.syncFence.Load() {
 		return 0
 	}
 	return r.watermark.Load()

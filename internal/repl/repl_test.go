@@ -538,3 +538,55 @@ func TestReplCrashReplayIdempotent(t *testing.T) {
 		wantRow(t, rep2.Server(), i, h.ts.Load(), latest)
 	}
 }
+
+// TestReplTopologySyncRecertifiesWatermark is the regression test for
+// stale pinned reads after a live migration: the migration replays the
+// tablet's history into the primary's log with its ORIGINAL (old)
+// commit timestamps, after the replica had certified a watermark above
+// them. Closing the topology sync must not re-expose that watermark
+// until the feed has applied those records.
+func TestReplTopologySyncRecertifiesWatermark(t *testing.T) {
+	h := newHarness(t)
+	reg := fault.New(1)
+	r, err := New(h.fs, h.primary, "ts0.r0", Config{
+		LastTS: h.ts.Load,
+		Server: core.Config{SegmentSize: 1 << 18, Faults: reg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.AddTablet(partition.Tablet{ID: testTablet, Table: "t"}, []string{testGroup})
+	defer r.Close()
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var pin int64
+	for i := 0; i < 10; i++ {
+		pin = h.put(t, i, "v")
+	}
+	if err := r.WaitForTS(pin, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// The migration: hold the replica's next apply, then append a
+	// record with an old timestamp (a migrated-in version visible at
+	// pin) to the primary's log.
+	release := make(chan struct{})
+	reg.Arm("crash.repl.pre-apply", fault.Policy{Times: 1, OnFire: func() { <-release }})
+	r.BeginTopologySync()
+	if err := h.primary.Write(testTablet, testGroup, []byte("k99999"), 3, []byte("migrated")); err != nil {
+		t.Fatal(err)
+	}
+	r.EndTopologySync()
+	if wm := r.WatermarkTS(); wm >= pin {
+		close(release)
+		t.Fatalf("watermark %d covers pin %d before the migrated record was applied", wm, pin)
+	}
+	close(release)
+	if err := r.WaitForTS(pin, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if row, err := r.Server().GetAt(testTablet, testGroup, []byte("k99999"), pin); err != nil || string(row.Value) != "migrated" {
+		t.Fatalf("replica GetAt(k99999@%d) = %q, %v; want the migrated version", pin, row.Value, err)
+	}
+}

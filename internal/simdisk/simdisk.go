@@ -87,9 +87,11 @@ type Disk struct {
 	clock *Clock
 
 	// faults, when non-nil, is consulted on every file read and write
-	// at points "<faultPrefix>.read" / "<faultPrefix>.write".
-	faults      *fault.Registry
-	faultPrefix string
+	// at points readPoint ("<prefix>.read") / writePoint
+	// ("<prefix>.write"), named once in SetFaults so a disarmed point
+	// costs one atomic load and no allocation.
+	faults                *fault.Registry
+	readPoint, writePoint string
 
 	mu sync.Mutex
 	// One head per spindle: an access seeks unless it starts exactly
@@ -122,7 +124,7 @@ func (d *Disk) Dir() string { return d.dir }
 // like a modelled cost. Call before issuing I/O.
 func (d *Disk) SetFaults(reg *fault.Registry, prefix string) {
 	d.faults = reg
-	d.faultPrefix = prefix
+	d.readPoint, d.writePoint = prefix+".read", prefix+".write"
 }
 
 // Clock returns the disk's virtual clock.
@@ -279,7 +281,7 @@ func (f *File) Size() (int64, error) {
 // error), flip a bit of the payload on its way down, add latency, or
 // fail it outright.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	if o := f.d.faults.Fire(f.d.faultPrefix + ".write"); o.Injected() {
+	if o := f.d.faults.Fire(f.d.writePoint); o.Injected() {
 		if o.Delay > 0 {
 			f.d.clock.Advance(o.Delay)
 		}
@@ -334,7 +336,7 @@ func (f *File) Append(p []byte) (int64, error) {
 // returned data (the on-disk bytes stay intact — a transient read
 // corruption, as opposed to a write-path flip which persists).
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	if o := f.d.faults.Fire(f.d.faultPrefix + ".read"); o.Injected() {
+	if o := f.d.faults.Fire(f.d.readPoint); o.Injected() {
 		if o.Delay > 0 {
 			f.d.clock.Advance(o.Delay)
 		}

@@ -121,6 +121,21 @@ func (m *SegmentMeta) SeekOffset(target RecordKey) int64 {
 	return off
 }
 
+// EndOffset returns the byte offset at which a sequential scan that
+// wants only records with clustering key < target may stop: the
+// position of the first sampled record whose key is >= target. Records
+// are sorted, so every record before that offset is < target or equal
+// to it, and none after it is < target. It returns 0 when no sample
+// reaches target (the scan must read to the end of the record area).
+func (m *SegmentMeta) EndOffset(target RecordKey) int64 {
+	for _, se := range m.Sparse {
+		if se.Key.Compare(target) >= 0 {
+			return se.Off
+		}
+	}
+	return 0
+}
+
 func putRecordKey(buf []byte, k RecordKey) []byte {
 	buf = putString(buf, k.Table)
 	buf = putString(buf, k.Group)

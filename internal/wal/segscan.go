@@ -31,6 +31,9 @@ type SegmentScanner struct {
 	off int64
 
 	win readWindow
+	// firstRefill, when > 0, sizes the first read instead of
+	// segScanChunkSize (see Bound).
+	firstRefill int
 
 	pinned bool
 
@@ -72,8 +75,33 @@ func (s *SegmentScanner) Close() {
 	}
 }
 
+// Bound narrows the scanner to a range scan, before the first Next:
+// reads stop at byte offset to (a record boundary, typically
+// SegmentMeta.EndOffset; 0 = no cut), and when want > 0 the first
+// refill covers one sparse-index stride — the most a
+// SegmentMeta.SeekOffset start can precede the range — plus want
+// records of the segment's average size, instead of a full chunk.
+// Later refills use the full chunk. Sweeps (compaction, changefeed
+// catch-up, unlimited scans) leave the scanner unbounded, so they keep
+// streaming in full chunks.
+func (s *SegmentScanner) Bound(to int64, want int) {
+	if meta := s.l.SegmentMeta(s.num); want > 0 && meta != nil && meta.Rows > 0 {
+		avg := (s.end - segHeaderSize) / int64(meta.Rows)
+		if first := sparseIndexStride + int64(want)*avg; first < segScanChunkSize {
+			s.firstRefill = int(first)
+		}
+	}
+	if to > 0 && to < s.end {
+		s.end = to
+	}
+}
+
 func (s *SegmentScanner) window(want int) ([]byte, error) {
-	return s.win.at(s.r, s.off, s.end, want, segScanChunkSize)
+	chunk := segScanChunkSize
+	if s.win.buf == nil && s.firstRefill > 0 {
+		chunk = s.firstRefill
+	}
+	return s.win.at(s.r, s.off, s.end, want, chunk)
 }
 
 // Next advances to the next record, returning false at the end of the
