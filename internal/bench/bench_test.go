@@ -123,6 +123,7 @@ func TestKeyOps(t *testing.T) {
 		"scan-pushdown": true, "scan-clientfilter": true, "hotrange": true,
 		"scan-clustered": true, "scan-index": true, "scan-clustered-limit": true, "autocompact": true,
 		"cdc-catchup": true, "cdc-tail": true, "cdc-writes-base": true,
+		"get-hit": true, "get-miss": true,
 	}
 	for _, op := range ops {
 		delete(want, op.Name)
@@ -136,11 +137,16 @@ func TestKeyOps(t *testing.T) {
 	if len(want) != 0 {
 		t.Errorf("missing key ops: %v", want)
 	}
-	for _, name := range []string{"put", "writebatch"} {
+	for _, name := range []string{"put", "writebatch", "get-miss"} {
 		for _, op := range ops {
 			if op.Name == name && op.DiskUSPerOp == 0 {
 				t.Errorf("%s reported zero modelled disk time", name)
 			}
+		}
+	}
+	for _, op := range ops {
+		if op.Name == "get-hit" && op.DiskUSPerOp != 0 {
+			t.Errorf("get-hit reported %.2f µs/op modelled disk, want 0 (served from the read buffer)", op.DiskUSPerOp)
 		}
 	}
 }

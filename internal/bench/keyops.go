@@ -64,7 +64,7 @@ func (a *allocMeter) perOp(ops int64) (allocs, bytes float64) {
 // newKeyOpsCluster builds the deterministic fixture: modelled disks,
 // group commit off (batch composition depends on scheduling), driven
 // single-threaded by the callers.
-func newKeyOpsCluster(n int) (*cluster.Cluster, string, error) {
+func newKeyOpsCluster(n int, readCacheBytes int64) (*cluster.Cluster, string, error) {
 	dir, err := tempDir("keyops")
 	if err != nil {
 		return nil, "", err
@@ -72,38 +72,48 @@ func newKeyOpsCluster(n int) (*cluster.Cluster, string, error) {
 	c, err := cluster.New(dir, cluster.Config{
 		NumServers: n,
 		Tables:     []cluster.TableSpec{{Name: "usertable", Groups: []string{"f0"}}},
-		Server:     core.Config{SegmentSize: 16 << 20},
+		Server:     core.Config{SegmentSize: 16 << 20, ReadCacheBytes: readCacheBytes},
 		DFS:        dfs.Config{BlockSize: 4 << 20, DiskModel: benchDiskModel(), Clock: &simdisk.Clock{}},
 	})
 	return c, dir, err
 }
 
+// measureKeyOp runs fn as one gated op of ops operations on c.
+func measureKeyOp(name string, c *cluster.Cluster, ops int64, fn func() error) (KeyOp, error) {
+	c.Clock().Reset()
+	am := startAllocMeter()
+	start := time.Now()
+	if err := fn(); err != nil {
+		return KeyOp{}, fmt.Errorf("%s: %w", name, err)
+	}
+	wall := time.Since(start)
+	allocs, bytes := am.perOp(ops)
+	disk := c.Clock().Elapsed()
+	return KeyOp{
+		Name:        name,
+		Ops:         ops,
+		DiskUSPerOp: float64(disk) / float64(time.Microsecond) / float64(ops),
+		WallUSPerOp: float64(wall) / float64(time.Microsecond) / float64(ops),
+		AllocsPerOp: allocs,
+		BytesPerOp:  bytes,
+	}, nil
+}
+
 // KeyOps measures the gated operations at the given scale: Put,
-// WriteBatch, FullScan, Query, and the elastic hot-range scenario.
+// WriteBatch, FullScan, Query, point reads, and the elastic hot-range
+// scenario.
 func KeyOps(s Scale) ([]KeyOp, error) {
 	var out []KeyOp
 	measure := func(name string, c *cluster.Cluster, ops int64, fn func() error) error {
-		c.Clock().Reset()
-		am := startAllocMeter()
-		start := time.Now()
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		op, err := measureKeyOp(name, c, ops, fn)
+		if err != nil {
+			return err
 		}
-		wall := time.Since(start)
-		allocs, bytes := am.perOp(ops)
-		disk := c.Clock().Elapsed()
-		out = append(out, KeyOp{
-			Name:        name,
-			Ops:         ops,
-			DiskUSPerOp: float64(disk) / float64(time.Microsecond) / float64(ops),
-			WallUSPerOp: float64(wall) / float64(time.Microsecond) / float64(ops),
-			AllocsPerOp: allocs,
-			BytesPerOp:  bytes,
-		})
+		out = append(out, op)
 		return nil
 	}
 
-	c, dir, err := newKeyOpsCluster(2)
+	c, dir, err := newKeyOpsCluster(2, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -249,6 +259,14 @@ func KeyOps(s Scale) ([]KeyOp, error) {
 	}
 	out = append(out, repOps...)
 
+	// Point reads through the read buffer: hits must cost no modelled
+	// disk, misses exactly one log read each.
+	readOps, err := PointReadKeyOps(s)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, readOps...)
+
 	// Hot-range elastic scenario: skewed single-threaded workload with
 	// deterministic balancer ticks, measuring the post-rebalance phase.
 	hr, err := hotRangeKeyOp(s)
@@ -260,7 +278,7 @@ func KeyOps(s Scale) ([]KeyOp, error) {
 }
 
 func hotRangeKeyOp(s Scale) (KeyOp, error) {
-	c, dir, err := newKeyOpsCluster(2)
+	c, dir, err := newKeyOpsCluster(2, 0)
 	if err != nil {
 		return KeyOp{}, err
 	}

@@ -4,29 +4,50 @@
 // the only copy of data — evictions are free, which is exactly why the
 // log-only design has no flush bottleneck.
 //
+// Representation: one map from key to *entry. The replacement policy
+// keeps its bookkeeping inside the entries themselves (an intrusive
+// doubly-linked list for LRU and FIFO, a ring slot and reference bit
+// for CLOCK), so a hit costs one map lookup plus, under LRU, one
+// pointer splice — no second map and no list-element allocation.
+//
 // The replacement strategy is an abstracted interface (the paper calls
 // this out explicitly) with LRU as the default; CLOCK and FIFO are
 // provided as alternatives and exercised by the cache-policy ablation
 // bench.
+//
+// Values are stored and returned by reference, never copied: a caller
+// must not modify a slice after handing it to Put, nor a slice returned
+// by Get. Put replaces an entry's slice; it never writes into one.
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
-// Policy decides which resident key to evict. Implementations are
-// driven under the cache's lock and must not call back into the cache.
+// entry is one resident key with the replacement policy's intrusive
+// state.
+type entry struct {
+	key   string
+	value []byte
+
+	// prev/next link the entry into an LRU or FIFO list.
+	prev, next *entry
+	// slot is the entry's CLOCK ring index; ref its second-chance bit.
+	slot int
+	ref  bool
+}
+
+// Policy decides which resident entry to evict. Implementations are
+// driven under the cache's lock and keep their state inside the
+// entries, so the interface can only be implemented in this package.
 type Policy interface {
-	// Touch notes that key was accessed (hit or insert).
-	Touch(key string)
-	// Add notes that key became resident.
-	Add(key string)
-	// Evict picks and removes the victim. It is only called when at
-	// least one key is resident.
-	Evict() string
-	// Remove notes that key was explicitly invalidated.
-	Remove(key string)
+	// Touch notes that e was accessed (hit or replace).
+	Touch(e *entry)
+	// Add notes that e became resident.
+	Add(e *entry)
+	// Evict picks and unlinks the victim. It is only called when at
+	// least one entry is resident.
+	Evict() *entry
+	// Remove notes that e was explicitly invalidated.
+	Remove(e *entry)
 	// Name identifies the policy in bench output.
 	Name() string
 }
@@ -36,7 +57,7 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	items    map[string][]byte
+	items    map[string]*entry
 	policy   Policy
 
 	hits   int64
@@ -58,50 +79,64 @@ func New(capacity int64, policy Policy) *Cache {
 	if policy == nil {
 		policy = NewLRU()
 	}
-	return &Cache{capacity: capacity, items: make(map[string][]byte), policy: policy}
+	return &Cache{capacity: capacity, items: make(map[string]*entry), policy: policy}
 }
 
-// Get returns the cached value and whether it was present.
+// Get returns the cached value and whether it was present. The value is
+// shared with the cache: read it, never write it.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	if c.capacity <= 0 {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.items[key]
-	if !ok {
+	return c.hitLocked(c.items[key])
+}
+
+// GetBytes is Get keyed by a byte slice; the lookup does not allocate a
+// string for the key.
+func (c *Cache) GetBytes(key []byte) ([]byte, bool) {
+	if c.capacity <= 0 {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hitLocked(c.items[string(key)])
+}
+
+func (c *Cache) hitLocked(e *entry) ([]byte, bool) {
+	if e == nil {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.policy.Touch(key)
-	return v, true
+	c.policy.Touch(e)
+	return e.value, true
 }
 
 // Put inserts or replaces a value, evicting as needed. Values larger
-// than the whole capacity are not cached.
+// than the whole capacity are not cached. The cache keeps value itself:
+// the caller must not modify it afterwards.
 func (c *Cache) Put(key string, value []byte) {
 	if c.capacity <= 0 || int64(len(value)) > c.capacity {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.items[key]; ok {
-		c.used -= int64(len(old))
-		c.items[key] = value
-		c.used += int64(len(value))
-		c.policy.Touch(key)
+	if e, ok := c.items[key]; ok {
+		c.used += int64(len(value)) - int64(len(e.value))
+		e.value = value
+		c.policy.Touch(e)
 	} else {
-		c.items[key] = value
+		e = &entry{key: key, value: value}
+		c.items[key] = e
 		c.used += int64(len(value))
-		c.policy.Add(key)
+		c.policy.Add(e)
 	}
 	for c.used > c.capacity && len(c.items) > 0 {
 		victim := c.policy.Evict()
-		if v, ok := c.items[victim]; ok {
-			c.used -= int64(len(v))
-			delete(c.items, victim)
-		}
+		c.used -= int64(len(victim.value))
+		delete(c.items, victim.key)
 	}
 }
 
@@ -112,10 +147,10 @@ func (c *Cache) Invalidate(key string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.items[key]; ok {
-		c.used -= int64(len(v))
+	if e, ok := c.items[key]; ok {
+		c.used -= int64(len(e.value))
 		delete(c.items, key)
-		c.policy.Remove(key)
+		c.policy.Remove(e)
 	}
 }
 
@@ -126,131 +161,108 @@ func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits, Misses: c.misses, Used: c.used, Items: len(c.items)}
 }
 
-// lru is the default policy: discard the least recently used key.
-type lru struct {
-	ll  *list.List
-	pos map[string]*list.Element
+// list is an intrusive circular doubly-linked list of entries: root.next
+// is the front (newest), root.prev the back (oldest). It supplies the
+// Add, Evict and Remove of both list policies.
+type list struct{ root entry }
+
+func (l *list) init() { l.root.next, l.root.prev = &l.root, &l.root }
+
+// Add links e at the front.
+func (l *list) Add(e *entry) {
+	e.prev, e.next = &l.root, l.root.next
+	e.prev.next, e.next.prev = e, e
 }
+
+// Remove unlinks e.
+func (l *list) Remove(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// Evict unlinks and returns the back entry.
+func (l *list) Evict() *entry {
+	e := l.root.prev
+	l.Remove(e)
+	return e
+}
+
+// lru is the default policy: discard the least recently used entry.
+type lru struct{ list }
 
 // NewLRU returns the default least-recently-used policy.
 func NewLRU() Policy {
-	return &lru{ll: list.New(), pos: make(map[string]*list.Element)}
+	p := &lru{}
+	p.init()
+	return p
 }
 
 func (p *lru) Name() string { return "lru" }
 
-func (p *lru) Touch(key string) {
-	if e, ok := p.pos[key]; ok {
-		p.ll.MoveToFront(e)
-	}
-}
-
-func (p *lru) Add(key string) { p.pos[key] = p.ll.PushFront(key) }
-
-func (p *lru) Evict() string {
-	e := p.ll.Back()
-	key := e.Value.(string)
-	p.ll.Remove(e)
-	delete(p.pos, key)
-	return key
-}
-
-func (p *lru) Remove(key string) {
-	if e, ok := p.pos[key]; ok {
-		p.ll.Remove(e)
-		delete(p.pos, key)
+func (p *lru) Touch(e *entry) {
+	if p.root.next != e {
+		p.Remove(e)
+		p.Add(e)
 	}
 }
 
 // fifo evicts in insertion order regardless of access.
-type fifo struct {
-	ll  *list.List
-	pos map[string]*list.Element
-}
+type fifo struct{ list }
 
 // NewFIFO returns a first-in-first-out policy.
 func NewFIFO() Policy {
-	return &fifo{ll: list.New(), pos: make(map[string]*list.Element)}
+	p := &fifo{}
+	p.init()
+	return p
 }
 
-func (p *fifo) Name() string   { return "fifo" }
-func (p *fifo) Touch(string)   {}
-func (p *fifo) Add(key string) { p.pos[key] = p.ll.PushFront(key) }
-func (p *fifo) Evict() string {
-	e := p.ll.Back()
-	key := e.Value.(string)
-	p.ll.Remove(e)
-	delete(p.pos, key)
-	return key
-}
-func (p *fifo) Remove(key string) {
-	if e, ok := p.pos[key]; ok {
-		p.ll.Remove(e)
-		delete(p.pos, key)
-	}
-}
+func (p *fifo) Name() string { return "fifo" }
+func (p *fifo) Touch(*entry) {}
 
-// clock is the classic second-chance approximation of LRU.
+// clock is the classic second-chance approximation of LRU. Each
+// resident entry owns one ring slot; freed slots are reused.
 type clock struct {
-	ring []clockSlot
-	pos  map[string]int
+	ring []*entry // nil = free slot
+	free []int
 	hand int
 }
 
-type clockSlot struct {
-	key  string
-	ref  bool
-	live bool
-}
-
 // NewClock returns a CLOCK (second chance) policy.
-func NewClock() Policy {
-	return &clock{pos: make(map[string]int)}
-}
+func NewClock() Policy { return &clock{} }
 
-func (p *clock) Name() string { return "clock" }
+func (p *clock) Name() string   { return "clock" }
+func (p *clock) Touch(e *entry) { e.ref = true }
 
-func (p *clock) Touch(key string) {
-	if i, ok := p.pos[key]; ok {
-		p.ring[i].ref = true
+func (p *clock) Add(e *entry) {
+	e.ref = true
+	if n := len(p.free); n > 0 {
+		e.slot = p.free[n-1]
+		p.free = p.free[:n-1]
+		p.ring[e.slot] = e
+		return
 	}
+	e.slot = len(p.ring)
+	p.ring = append(p.ring, e)
 }
 
-func (p *clock) Add(key string) {
-	// Reuse a dead slot if the hand is on one; otherwise grow.
-	for i := range p.ring {
-		if !p.ring[i].live {
-			p.ring[i] = clockSlot{key: key, ref: true, live: true}
-			p.pos[key] = i
-			return
-		}
-	}
-	p.ring = append(p.ring, clockSlot{key: key, ref: true, live: true})
-	p.pos[key] = len(p.ring) - 1
-}
-
-func (p *clock) Evict() string {
+func (p *clock) Evict() *entry {
 	for {
-		s := &p.ring[p.hand%len(p.ring)]
 		i := p.hand % len(p.ring)
-		p.hand++
-		if !s.live {
+		p.hand = i + 1
+		e := p.ring[i]
+		if e == nil {
 			continue
 		}
-		if s.ref {
-			s.ref = false
+		if e.ref {
+			e.ref = false
 			continue
 		}
-		s.live = false
-		delete(p.pos, s.key)
-		_ = i
-		return s.key
+		p.Remove(e)
+		return e
 	}
 }
 
-func (p *clock) Remove(key string) {
-	if i, ok := p.pos[key]; ok {
-		p.ring[i].live = false
-		delete(p.pos, key)
-	}
+func (p *clock) Remove(e *entry) {
+	p.ring[e.slot] = nil
+	p.free = append(p.free, e.slot)
 }

@@ -150,3 +150,53 @@ func TestConcurrent(t *testing.T) {
 		t.Errorf("over budget after concurrency: %+v", st)
 	}
 }
+
+// TestStatsTrackReplaceEvictInvalidate checks the byte budget and item
+// count after each way an entry's bytes can leave the cache, under every
+// policy.
+func TestStatsTrackReplaceEvictInvalidate(t *testing.T) {
+	for _, p := range []Policy{NewLRU(), NewFIFO(), NewClock()} {
+		c := New(100, p)
+		c.Put("a", make([]byte, 30))
+		c.Put("b", make([]byte, 30))
+		check := func(step string, used int64, items int) {
+			t.Helper()
+			if st := c.Stats(); st.Used != used || st.Items != items {
+				t.Errorf("%s after %s: used=%d items=%d, want used=%d items=%d",
+					p.Name(), step, st.Used, st.Items, used, items)
+			}
+		}
+		check("puts", 60, 2)
+		c.Put("a", make([]byte, 50)) // replace grows a
+		check("replace", 80, 2)
+		c.Put("c", make([]byte, 40)) // 120 > 100: one 30- or 50-byte victim
+		if st := c.Stats(); st.Items != 2 || (st.Used != 90 && st.Used != 70) {
+			t.Errorf("%s after evict: %+v", p.Name(), st)
+		}
+		used := c.Stats().Used
+		c.Invalidate("c")
+		check("invalidate", used-40, 1)
+		c.Invalidate("c") // already gone: no change
+		check("second invalidate", used-40, 1)
+	}
+}
+
+// TestGetBytesMatchesGet checks the byte-keyed lookup sees the same
+// entries and counts hits and misses the same way.
+func TestGetBytesMatchesGet(t *testing.T) {
+	c := New(100, nil)
+	c.Put("k1", []byte("v1"))
+	if v, ok := c.GetBytes([]byte("k1")); !ok || string(v) != "v1" {
+		t.Errorf("GetBytes(k1) = %q, %v", v, ok)
+	}
+	if _, ok := c.GetBytes([]byte("k2")); ok {
+		t.Error("GetBytes(k2) hit an absent key")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+	key := []byte("k1")
+	if n := testing.AllocsPerRun(100, func() { c.GetBytes(key) }); n != 0 {
+		t.Errorf("GetBytes hit allocates %.1f objects", n)
+	}
+}

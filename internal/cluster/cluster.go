@@ -95,10 +95,15 @@ type Cluster struct {
 	topoMu sync.Mutex
 
 	// failMu is write-held for the full duration of a server failover
-	// (reassignment AND log recovery). Assignments and Epoch take it
-	// shared, so callers never observe routing that points at heirs
-	// still replaying the dead server's log.
+	// (reassignment AND log recovery). Assignments and Epoch's slow path
+	// take it shared, so callers never observe routing that points at
+	// heirs still replaying the dead server's log.
 	failMu sync.RWMutex
+
+	// pubEpoch publishes epoch to Epoch's lock-free fast path. It holds
+	// -1 from just before a failover takes failMu until the failover
+	// ends (failing is set), sending readers to the blocking path.
+	pubEpoch atomic.Int64
 
 	mu          sync.RWMutex
 	servers     map[string]*serverState
@@ -108,6 +113,7 @@ type Cluster struct {
 	routers     map[string]*partition.Router // table -> router
 	tabletSeq   map[string]int               // table -> next tablet number (split children)
 	epoch       int64                        // bumped on reassignment; invalidates client caches
+	failing     bool                         // a failover is in flight: bumps stay unpublished
 	master      *Master
 
 	txns     *txn.Manager
@@ -319,7 +325,7 @@ func (c *Cluster) CreateTable(ts TableSpec) error {
 			rp.rep.AddTablet(tab, ts.Groups)
 		}
 	}
-	c.epoch++
+	c.bumpEpochLocked()
 	return nil
 }
 
@@ -396,15 +402,50 @@ func (c *Cluster) Groups(table string) []string {
 }
 
 // Epoch returns the routing epoch; it changes whenever assignments do.
-// It blocks while a server failover is mid-flight (failMu), so the
-// returned epoch never describes routing whose heirs are still
-// replaying the dead server's log.
+// Outside a failover it is one atomic load. While a server failover is
+// mid-flight it blocks (failMu), so the returned epoch never describes
+// routing whose heirs are still replaying the dead server's log.
 func (c *Cluster) Epoch() int64 {
+	if e := c.pubEpoch.Load(); e >= 0 {
+		return e
+	}
 	c.failMu.RLock()
 	defer c.failMu.RUnlock()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.epoch
+}
+
+// bumpEpochLocked advances the routing epoch and publishes it to
+// Epoch's fast path, unless a failover is in flight (endFailover
+// publishes then). Every epoch change goes through here. Caller holds
+// mu.
+func (c *Cluster) bumpEpochLocked() {
+	c.epoch++
+	if !c.failing {
+		c.pubEpoch.Store(c.epoch)
+	}
+}
+
+// beginFailover takes failMu for a server failover. The published epoch
+// is withdrawn first, so once failMu is held no Epoch call can return
+// the pre-failover epoch.
+func (c *Cluster) beginFailover() {
+	c.mu.Lock()
+	c.failing = true
+	c.pubEpoch.Store(-1)
+	c.mu.Unlock()
+	c.failMu.Lock()
+}
+
+// endFailover publishes the epoch the failover left and releases
+// failMu.
+func (c *Cluster) endFailover() {
+	c.mu.Lock()
+	c.failing = false
+	c.pubEpoch.Store(c.epoch)
+	c.mu.Unlock()
+	c.failMu.Unlock()
 }
 
 // Assignments returns a copy of tablet -> server routing. Like Epoch it
@@ -628,8 +669,8 @@ func (m *Master) IsLeader() bool { return m.leader }
 // heirs have not finished replaying.
 func (m *Master) handleServerFailure(deadID string) error {
 	c := m.c
-	c.failMu.Lock()
-	defer c.failMu.Unlock()
+	c.beginFailover()
+	defer c.endFailover()
 	// A dead server with a usable replica is not scattered at all: the
 	// replica already holds (nearly) everything in its own log and
 	// indexes, so the master promotes it and replays only the unshipped
@@ -657,7 +698,7 @@ func (m *Master) handleServerFailure(deadID string) error {
 		plan[heir] = append(plan[heir], tab)
 		c.assignments[tab] = heir
 	}
-	c.epoch++
+	c.bumpEpochLocked()
 	specs := make(map[string]partition.Tablet, len(orphans))
 	groupsOf := make(map[string][]string, len(orphans))
 	for _, tab := range orphans {

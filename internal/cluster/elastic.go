@@ -100,7 +100,7 @@ func (c *Cluster) SplitTablet(tabletID string) (leftID, rightID string, err erro
 	c.assignments[left.ID] = owner
 	c.assignments[right.ID] = owner
 	c.rebuildRouterLocked(spec.Table)
-	c.epoch++
+	c.bumpEpochLocked()
 	// Mirror the split to the owner's replicas inside the same critical
 	// section, so a read routed at the new epoch finds the child tablet
 	// ids on the replica too. A failed mirror poisons that replica (it
@@ -261,7 +261,7 @@ func (c *Cluster) MoveTablet(tabletID, destID string) error {
 		return abort(fmt.Errorf("cluster: tablet %s reassigned during migration", tabletID))
 	}
 	c.assignments[tabletID] = destID
-	c.epoch++
+	c.bumpEpochLocked()
 	c.mu.Unlock()
 	src.RemoveTablet(tabletID)
 	// Install the tablet's pre-move history on the destination's

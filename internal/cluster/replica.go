@@ -298,7 +298,7 @@ func (m *Master) promoteReplica(deadID string) (bool, error) {
 	for _, tab := range orphans {
 		c.assignments[tab] = newID
 	}
-	c.epoch++
+	c.bumpEpochLocked()
 	c.mu.Unlock()
 	return true, nil
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -130,7 +131,15 @@ type breakers struct {
 	threshold  int
 	probeAfter time.Duration
 	m          map[string]*breakerEntry
+	// unhealthy counts entries with a failure recorded (a streak, or an
+	// open or half-open breaker). While it is zero every breaker admits
+	// and a success changes nothing, so allow and success skip the
+	// mutex — the common case on the routing hot path.
+	unhealthy atomic.Int64
 }
+
+// healthy reports whether e has no failure recorded.
+func (e *breakerEntry) healthy() bool { return e.state == breakerClosed && e.fails == 0 }
 
 func newBreakers(threshold int, probeAfter time.Duration) *breakers {
 	if threshold <= 0 {
@@ -147,6 +156,9 @@ func newBreakers(threshold int, probeAfter time.Duration) *breakers {
 // and admits exactly one probe; further calls reject until the probe's
 // outcome is reported.
 func (b *breakers) allow(target string) bool {
+	if b.unhealthy.Load() == 0 {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.m[target]
@@ -181,9 +193,10 @@ func (b *breakers) allow(target string) bool {
 func (b *breakers) success(target string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if e := b.m[target]; e != nil {
+	if e := b.m[target]; e != nil && !e.healthy() {
 		e.state = breakerClosed
 		e.fails = 0
+		b.unhealthy.Add(-1)
 	}
 }
 
@@ -197,6 +210,9 @@ func (b *breakers) failure(target string) {
 	if e == nil {
 		e = &breakerEntry{}
 		b.m[target] = e
+	}
+	if e.healthy() {
+		b.unhealthy.Add(1)
 	}
 	switch e.state {
 	case breakerHalfOpen:
@@ -229,10 +245,10 @@ func (b *breakers) openCount() int {
 // errors (down/unknown — the target is unreachable or shedding) count
 // as failure.
 func (b *breakers) note(target string, err error) {
-	if err == nil || !retryableRouting(err) {
-		b.success(target)
-	} else {
+	if err != nil && retryableRouting(err) {
 		b.failure(target)
+	} else if b.unhealthy.Load() != 0 {
+		b.success(target)
 	}
 }
 
@@ -244,7 +260,7 @@ func (b *breakers) note(target string, err error) {
 func (b *breakers) noteServer(id string, err error) {
 	if err != nil && errors.Is(err, ErrServerDown) {
 		b.failure("server:" + id)
-	} else {
+	} else if b.unhealthy.Load() != 0 {
 		b.success("server:" + id)
 	}
 }

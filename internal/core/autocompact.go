@@ -528,13 +528,9 @@ func (s *Server) CompactSegments(nums []uint32) (CompactionStats, error) {
 		s.log.AddGarbage(outs[0], staleBytes)
 	}
 
-	if err := s.log.RemoveSegments(input...); err != nil {
+	if err := s.retireCompaction(&st, input, inputBytes, sw.Segments()); err != nil {
 		return st, err
 	}
-	st.BytesReclaimed = inputBytes - s.segmentsBytes(sw.Segments())
-	s.stats.Compactions.Add(1)
-	s.stats.CompactDropped.Add(int64(st.Dropped))
-	s.stats.CompactReclaimed.Add(st.BytesReclaimed)
 	return st, nil
 }
 

@@ -10,11 +10,14 @@ import (
 
 // CompactionStats summarises one compaction run.
 type CompactionStats struct {
-	RecordsIn      int
-	RecordsKept    int
-	Dropped        int // obsolete versions + invalidated + uncommitted
-	SegmentsIn     int
-	SegmentsOut    int
+	RecordsIn   int
+	RecordsKept int
+	Dropped     int // obsolete versions + invalidated + uncommitted
+	SegmentsIn  int
+	SegmentsOut int
+	// BytesReclaimed is the run's net change in log size: input bytes
+	// minus output bytes. It is negative when the output's framing
+	// (header, footer, sparse index) outweighs the garbage dropped.
 	BytesReclaimed int64
 }
 
@@ -413,13 +416,9 @@ func (s *Server) Compact() (CompactionStats, error) {
 	if err := s.cfg.Faults.FireErr("crash.compact.pre-remove"); err != nil {
 		return st, err
 	}
-	if err := s.log.RemoveSegments(inputNums...); err != nil {
+	if err := s.retireCompaction(&st, inputNums, inputBytes, sw.Segments()); err != nil {
 		return st, err
 	}
-	st.BytesReclaimed = inputBytes - s.segmentsBytes(sw.Segments())
-	s.stats.Compactions.Add(1)
-	s.stats.CompactDropped.Add(int64(st.Dropped))
-	s.stats.CompactReclaimed.Add(st.BytesReclaimed)
 
 	// A checkpoint taken before compaction references segments that no
 	// longer exist; refresh it so recovery has a consistent start.
@@ -427,6 +426,25 @@ func (s *Server) Compact() (CompactionStats, error) {
 		return st, err
 	}
 	return st, nil
+}
+
+// retireCompaction ends a run: it removes the input segments, sets
+// st.BytesReclaimed and folds the run into the cumulative counters, all
+// under statsMu so StatsView sees the layout and counters change in one
+// step. A run whose net is negative reclaimed nothing, so the
+// cumulative byte counter adds only positive nets and, like the other
+// two, never goes backwards.
+func (s *Server) retireCompaction(st *CompactionStats, inputs []uint32, inputBytes int64, outputs []uint32) error {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	if err := s.log.RemoveSegments(inputs...); err != nil {
+		return err
+	}
+	st.BytesReclaimed = inputBytes - s.segmentsBytes(outputs)
+	s.stats.Compactions.Add(1)
+	s.stats.CompactDropped.Add(int64(st.Dropped))
+	s.stats.CompactReclaimed.Add(max(st.BytesReclaimed, 0))
+	return nil
 }
 
 func (s *Server) segmentsBytes(nums []uint32) int64 {

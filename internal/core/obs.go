@@ -152,10 +152,12 @@ func (s *Server) logBytes() int64 {
 func (s *Server) Metrics() *obs.Registry { return s.obs.reg }
 
 // StatsView is one mutually-consistent snapshot of the server's
-// cumulative counters: it is taken under compactMu, so the compaction
+// cumulative counters: it is taken under statsMu, so the compaction
 // triple (Runs / Dropped / Reclaimed) and the segment-derived layout
-// numbers can never be observed mid-tick — half-applied counter
-// updates from a concurrent compaction run are impossible.
+// numbers can never be observed mid-retire — half-applied counter
+// updates from a concurrent compaction run are impossible. A run in
+// progress shows as its output segments beside its not-yet-retired
+// inputs, which is what the log holds at that moment.
 type StatsView struct {
 	Writes, Reads, Deletes int64
 	CacheHits, CacheMisses int64
@@ -172,10 +174,11 @@ type StatsView struct {
 // StatsView snapshots every cumulative counter in one pass. Op
 // counters (writes/reads/...) are individually atomic and monotone;
 // the compaction counters and layout numbers are read while holding
-// compactMu so they are consistent with each other.
+// statsMu so they are consistent with each other. It does not wait for
+// a running compaction to finish.
 func (s *Server) StatsView() StatsView {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
 	cs := s.readCache.Stats()
 	info := s.CompactionInfo()
 	return StatsView{

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/readopt"
 )
 
 // metricAt returns the snapshot entry for name whose labels contain
@@ -177,4 +178,61 @@ func TestStatsViewConsistentUnderCompaction(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestPointReadsRecordOneSample: a single-version ReadRow is one "read"
+// op and a GetAt one "get" op — neither path records into the other's
+// histogram, so per-op counts scraped from /metrics match the ops
+// issued.
+func TestPointReadsRecordOneSample(t *testing.T) {
+	s, _ := newTestServer(t, Config{ReadCacheBytes: 1 << 16})
+	defer s.Close()
+	if err := s.Write(testTablet, testGroup, k6(1), 1, []byte("v")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	count := func(op string) int64 {
+		t.Helper()
+		m, ok := metricAt(t, s.Metrics(), "logbase_op_duration_seconds", `op="`+op+`"`)
+		if !ok {
+			t.Fatalf("no %s histogram", op)
+		}
+		return m.Hist.Count
+	}
+	if _, err := s.ReadRow(testTablet, testGroup, k6(1), readopt.Options{}); err != nil {
+		t.Fatalf("ReadRow: %v", err)
+	}
+	if r, g := count("read"), count("get"); r != 1 || g != 0 {
+		t.Errorf("after one ReadRow: read=%d get=%d, want 1 and 0", r, g)
+	}
+	if _, err := s.GetAt(testTablet, testGroup, k6(1), 1); err != nil {
+		t.Fatalf("GetAt: %v", err)
+	}
+	if r, g := count("read"), count("get"); r != 1 || g != 1 {
+		t.Errorf("after one GetAt: read=%d get=%d, want 1 and 1", r, g)
+	}
+}
+
+// TestCompactingGarbageFreeSegmentReclaimsNothing: a run over a segment
+// with no garbage rewrites every record and adds sorted-segment framing,
+// so its net is not positive; the cumulative counter must stay at zero
+// rather than go negative.
+func TestCompactingGarbageFreeSegmentReclaimsNothing(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	defer s.Close()
+	for i := 0; i < 50; i++ {
+		if err := s.Write(testTablet, testGroup, k6(i), int64(i+1), []byte("value")); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	st := sealAndCompactUnsorted(t, s)
+	if st.Dropped != 0 || st.RecordsKept != 50 {
+		t.Fatalf("garbage-free run dropped %d, kept %d; want 0 and 50", st.Dropped, st.RecordsKept)
+	}
+	if st.BytesReclaimed > 0 {
+		t.Fatalf("garbage-free run reclaimed %d bytes", st.BytesReclaimed)
+	}
+	if v := s.StatsView(); v.Compactions != 1 || v.BytesReclaimed != 0 {
+		t.Errorf("StatsView after a garbage-free run: compactions=%d reclaimed=%d, want 1 and 0",
+			v.Compactions, v.BytesReclaimed)
+	}
 }

@@ -37,7 +37,7 @@ func (s *Server) ReadRow(tabletID, group string, key []byte, ro readopt.Options)
 		ts = maxTS
 	}
 	if !ro.AllVersions {
-		row, err := s.GetAt(tabletID, group, key, ts)
+		row, err := s.getAt(tabletID, group, key, ts)
 		if err != nil {
 			return nil, err
 		}

@@ -432,9 +432,11 @@ func (s *Server) fetchRows(ctx context.Context, t *Tablet, g *columnGroup, group
 
 // cachedValue serves version ts of key from the read buffer. The
 // buffer holds only a key's newest version, so it answers exactly when
-// that version is ts; the value is copied out.
+// that version is ts; the value is shared with the buffer (read-only,
+// see Row).
 func (s *Server) cachedValue(table, group string, key []byte, ts int64) ([]byte, bool) {
-	b, ok := s.readCache.Get(cacheKey(table, group, key))
+	var buf [cacheKeyBuf]byte
+	b, ok := s.readCache.GetBytes(appendCacheKey(buf[:0], table, group, key))
 	if !ok {
 		return nil, false
 	}
@@ -442,7 +444,7 @@ func (s *Server) cachedValue(table, group string, key []byte, ts int64) ([]byte,
 	if cts != ts {
 		return nil, false
 	}
-	return append([]byte(nil), v...), true
+	return v[:len(v):len(v)], true
 }
 
 // SplitRange exposes the index's keyspace sharding for a column group:

@@ -90,6 +90,12 @@ var ErrUnknownTablet = errors.New("core: tablet not served here")
 var ErrTabletFrozen = fmt.Errorf("%w: frozen for migration", ErrUnknownTablet)
 
 // Row is one record version returned by reads and scans.
+//
+// Value is read-only: a point read served from the read buffer returns
+// the buffered bytes themselves, shared with every other reader of the
+// same version. The bytes never change once returned — writes install a
+// fresh copy rather than editing the buffered one — and Value's capacity
+// equals its length, so append copies. Callers must not write into it.
 type Row struct {
 	Key   []byte
 	TS    int64
@@ -156,6 +162,12 @@ type Server struct {
 	// against each other.
 	compactMu sync.Mutex
 
+	// statsMu is held while a compaction retires its input segments and
+	// advances its counters (retireCompaction), and by StatsView, which
+	// so never observes half a run's effects yet never waits out the
+	// run itself. Lock order: compactMu, then statsMu.
+	statsMu sync.Mutex
+
 	// prepMu guards the prepared-transaction registry: 2PC participants
 	// register durable-but-uncommitted writes here so compaction keeps
 	// their records and repoints the cached locations a later CommitTxn
@@ -212,7 +224,8 @@ type ServerStats struct {
 	LogReads    atomic.Int64
 	Compactions atomic.Int64
 	// CompactDropped and CompactReclaimed accumulate across compaction
-	// runs (records vacuumed, bytes reclaimed) for observability.
+	// runs (records vacuumed, bytes reclaimed) for observability; both
+	// are monotone (see retireCompaction).
 	CompactDropped   atomic.Int64
 	CompactReclaimed atomic.Int64
 }
@@ -393,8 +406,23 @@ func (s *Server) append(recs ...*wal.Record) ([]wal.Ptr, error) {
 	return ptrs, err
 }
 
+// cacheKey is the read-buffer key of (table, group, key).
 func cacheKey(table, group string, key []byte) string {
-	return table + "\x00" + group + "\x00" + string(key)
+	var buf [cacheKeyBuf]byte
+	return string(appendCacheKey(buf[:0], table, group, key))
+}
+
+// cacheKeyBuf sizes the stack buffer read-buffer keys are built in;
+// longer keys spill to the heap.
+const cacheKeyBuf = 128
+
+// appendCacheKey appends table\x00group\x00key to dst.
+func appendCacheKey(dst []byte, table, group string, key []byte) []byte {
+	dst = append(dst, table...)
+	dst = append(dst, 0)
+	dst = append(dst, group...)
+	dst = append(dst, 0)
+	return append(dst, key...)
 }
 
 // noteDeleted credits every stored version of key as garbage in its
@@ -520,6 +548,13 @@ func (s *Server) Get(tabletID, group string, key []byte) (Row, error) {
 // (paper §3.6.2: a Get with an attached timestamp).
 func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error) {
 	defer s.obs.since(s.obs.get, s.obs.start())
+	return s.getAt(tabletID, group, key, ts)
+}
+
+// getAt is GetAt without the latency sample; ReadRow times its own
+// single-version reads through it. A read-buffer hit allocates nothing:
+// the key is built on the stack and the buffered value is shared.
+func (s *Server) getAt(tabletID, group string, key []byte, ts int64) (Row, error) {
 	t, err := s.tablet(tabletID)
 	if err != nil {
 		return Row{}, err
@@ -531,8 +566,9 @@ func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error
 	s.stats.Reads.Add(1)
 
 	// Read buffer first (only serves the latest version).
-	ck := cacheKey(t.table, group, key)
-	if b, ok := s.readCache.Get(ck); ok {
+	var buf [cacheKeyBuf]byte
+	ck := appendCacheKey(buf[:0], t.table, group, key)
+	if b, ok := s.readCache.GetBytes(ck); ok {
 		cts, v := decodeCached(b)
 		if cts <= ts {
 			// The cached latest is visible at this snapshot only if no
@@ -540,7 +576,7 @@ func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error
 			// newest overall, so visibility holds exactly when cts<=ts.
 			s.stats.CacheHits.Add(1)
 			t.load.add(1, int64(len(v)))
-			return Row{Key: key, TS: cts, Value: append([]byte(nil), v...)}, nil
+			return Row{Key: key, TS: cts, Value: v[:len(v):len(v)]}, nil
 		}
 	}
 	t.load.add(1, 0)
@@ -564,7 +600,7 @@ func (s *Server) GetAt(tabletID, group string, key []byte, ts int64) (Row, error
 	s.stats.LogReads.Add(1)
 	// Cache only the globally newest version.
 	if latest, lok := g.tree().Latest(key); lok && latest.TS == e.TS {
-		s.readCache.Put(ck, encodeCached(e.TS, rec.Value))
+		s.readCache.Put(string(ck), encodeCached(e.TS, rec.Value))
 	}
 	return Row{Key: key, TS: e.TS, Value: rec.Value}, nil
 }

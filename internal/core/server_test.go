@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dfs"
 	"repro/internal/partition"
+	"repro/internal/readopt"
 )
 
 const (
@@ -430,5 +431,64 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		if herr != nil || string(hrow.Value) != mid.value {
 			t.Errorf("%s@%d: got %q err=%v, want %q", key, mid.ts, hrow.Value, herr, mid.value)
 		}
+	}
+}
+
+// TestCacheHitGetAllocatesNothing: a read-buffer hit builds its key on
+// the stack and shares the buffered value, so GetAt allocates nothing
+// and a single-version ReadRow only its one-row result slice.
+func TestCacheHitGetAllocatesNothing(t *testing.T) {
+	s, _ := newTestServer(t, Config{ReadCacheBytes: 1 << 20})
+	defer s.Close()
+	key := []byte("hot")
+	if err := s.Write(testTablet, testGroup, key, 1, make([]byte, 1024)); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	hits := s.Stats().CacheHits.Load()
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := s.GetAt(testTablet, testGroup, key, maxTS); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("cache-hit GetAt allocates %.1f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := s.ReadRow(testTablet, testGroup, key, readopt.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("cache-hit ReadRow allocates %.1f objects, want <= 1", n)
+	}
+	if got := s.Stats().CacheHits.Load() - hits; got < 400 {
+		t.Errorf("only %d of the reads hit the read buffer", got)
+	}
+}
+
+// TestReadValueIsSharedReadOnly pins the Row.Value contract: a value
+// served from the read buffer cannot be grown in place, and a later
+// overwrite leaves it byte-identical.
+func TestReadValueIsSharedReadOnly(t *testing.T) {
+	s, _ := newTestServer(t, Config{ReadCacheBytes: 1 << 20})
+	defer s.Close()
+	key := []byte("k")
+	if err := s.Write(testTablet, testGroup, key, 1, []byte("first")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	row, err := s.Get(testTablet, testGroup, key)
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if cap(row.Value) != len(row.Value) {
+		t.Errorf("cached value has spare capacity %d > %d: append would write into the buffer", cap(row.Value), len(row.Value))
+	}
+	_ = append(row.Value, "-tail"...)
+	if err := s.Write(testTablet, testGroup, key, 2, []byte("second")); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if string(row.Value) != "first" {
+		t.Errorf("returned value changed to %q after an overwrite", row.Value)
+	}
+	if again, _ := s.Get(testTablet, testGroup, key); string(again.Value) != "second" {
+		t.Errorf("Get after overwrite = %q", again.Value)
 	}
 }

@@ -78,7 +78,9 @@ var ErrNotFound = core.ErrNotFound
 // validation; retry the transaction (or use RunTx).
 var ErrConflict = txn.ErrConflict
 
-// Row is one record version.
+// Row is one record version. Its Value is read-only: a point read served
+// from the read buffer shares the buffered bytes with every other reader
+// instead of copying them. Copy a value before modifying it.
 type Row = core.Row
 
 // Options configures an embedded DB.
@@ -488,7 +490,8 @@ var _ Tx = (*Txn)(nil)
 // Begin starts a transaction.
 func (db *DB) Begin(ctx context.Context) Tx { return &Txn{db: db, t: db.txns.Begin()} }
 
-// Get reads a row at the transaction snapshot.
+// Get reads a row at the transaction snapshot. The value is read-only
+// (see Row).
 func (tx *Txn) Get(ctx context.Context, table, group string, key []byte) ([]byte, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
